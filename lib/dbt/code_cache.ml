@@ -9,7 +9,11 @@ type entry = {
   e_mode : code_mode;
   e_gen : int;
   mutable e_stamp : int;
+  e_lru : lru;
 }
+
+(* one link of the doubly-linked, circular recency list *)
+and lru = { mutable older : entry; mutable newer : entry }
 
 type config = { capacity : int; chain : bool }
 
@@ -34,14 +38,18 @@ type t = {
          or looks up during a run — but the installation protocol must
          stay safe when a worker-domain client (tests, the future
          multi-tenant server) races installs against invalidations. *)
-  tbl : (int, entry) Hashtbl.t;
-  in_links : (int, (int * Gb_vliw.Vinsn.stub) list ref) Hashtbl.t;
+  tbl : entry Gb_util.Pc_tbl.t;
+  lru : entry;
+      (* sentinel of the recency list, in stamp order: [lru.e_lru.newer]
+         is the least recently used entry, [lru.e_lru.older] the most
+         recent one. Every installed entry is on it, nothing else. *)
+  in_links : (int * Gb_vliw.Vinsn.stub) list ref Gb_util.Pc_tbl.t;
       (* target pc -> (source pc, stub) of every link ever made into the
          translation currently (or formerly) installed there; stale pairs
          (stub already unlinked, or re-pointed at a newer translation of
          the same pc — never of a different pc, since links require
          stub.target_pc = target) are skipped via the identity check *)
-  inval_gen : (int, int) Hashtbl.t;
+  inval_gen : int Gb_util.Pc_tbl.t;
       (* pc -> generation at which the translation installed there was
          last removed (invalidated, evicted or replaced); consulted by
          generation-tagged installs *)
@@ -56,13 +64,36 @@ type t = {
   mutable on_evict : pc:int -> tier -> unit;
 }
 
+let sentinel () =
+  let rec e =
+    {
+      e_pc = -1;
+      e_trace =
+        {
+          Gb_vliw.Vinsn.entry_pc = -1;
+          bundles = [||];
+          stubs = [||];
+          n_regs = 0;
+          guest_insns = 0;
+          meta = Gb_vliw.Vinsn.empty_meta;
+        };
+      e_tier = Block;
+      e_mode = Nonspec;
+      e_gen = -1;
+      e_stamp = -1;
+      e_lru = l;
+    }
+  and l = { older = e; newer = e } in
+  e
+
 let create ?(obs = Gb_obs.Sink.noop) cfg =
   {
     cfg;
     lock = Mutex.create ();
-    tbl = Hashtbl.create 128;
-    in_links = Hashtbl.create 128;
-    inval_gen = Hashtbl.create 64;
+    tbl = Gb_util.Pc_tbl.create 128;
+    lru = sentinel ();
+    in_links = Gb_util.Pc_tbl.create 128;
+    inval_gen = Gb_util.Pc_tbl.create 64;
     used = 0;
     lru_clock = 0;
     next_gen = 0;
@@ -101,33 +132,49 @@ let set_on_evict t f = t.on_evict <- f
 
 let used_bundles t = with_lock t (fun () -> t.used)
 
+(* [touch] moves an entry to the most-recent end of the recency list as
+   it stamps it, so the list is in stamp order and its least-recent end
+   is the entry with the least stamp (stamps are unique): an eviction
+   takes it without a scan. *)
+let lru_unlink e =
+  let l = e.e_lru in
+  l.older.e_lru.newer <- l.newer;
+  l.newer.e_lru.older <- l.older
+
+let lru_push t e =
+  let s = t.lru.e_lru in
+  let l = e.e_lru in
+  l.older <- s.older;
+  l.newer <- t.lru;
+  s.older.e_lru.newer <- e;
+  s.older <- e
+
 let touch t e =
   t.lru_clock <- t.lru_clock + 1;
-  e.e_stamp <- t.lru_clock
+  e.e_stamp <- t.lru_clock;
+  if t.lru.e_lru.older != e then begin
+    lru_unlink e;
+    lru_push t e
+  end
 
-(* [peek]/[find] run per trace exit on the chain-follow path: no
-   [with_lock] closure, and the only allocation left is the returned
-   [Some] itself ([Hashtbl.find]'s [Not_found] is a constant, so the
-   miss path allocates nothing). *)
+(* [peek]/[find] run per trace exit on the chain-follow path, and [find]
+   per interpreted instruction: no [with_lock] closure, no exception on a
+   miss, and the only allocation left is the [Some] of a hit. *)
 let peek t pc =
   Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find t.tbl pc with
-    | e -> Some e
-    | exception Not_found -> None
-  in
+  let r = Gb_util.Pc_tbl.find_opt t.tbl pc in
   Mutex.unlock t.lock;
   r
 
 let find t pc =
   Mutex.lock t.lock;
   let hit =
-    match Hashtbl.find t.tbl pc with
-    | e ->
+    match Gb_util.Pc_tbl.find_opt t.tbl pc with
+    | Some e as hit ->
       touch t e;
       t.stats.hits <- t.stats.hits + 1;
-      Some e
-    | exception Not_found ->
+      hit
+    | None ->
       t.stats.misses <- t.stats.misses + 1;
       None
   in
@@ -142,7 +189,7 @@ let gauges t =
   if Gb_obs.Sink.is_active t.obs then begin
     Gb_obs.Sink.set_gauge t.obs "code_cache.bundles" (float_of_int t.used);
     Gb_obs.Sink.set_gauge t.obs "code_cache.entries"
-      (float_of_int (Hashtbl.length t.tbl))
+      (float_of_int (Gb_util.Pc_tbl.length t.tbl))
   end
 
 let break_stub t ~src_pc (stub : Gb_vliw.Vinsn.stub) =
@@ -164,7 +211,7 @@ let break_stub t ~src_pc (stub : Gb_vliw.Vinsn.stub) =
    this trace object. *)
 let unlink t e =
   Array.iter (break_stub t ~src_pc:e.e_pc) e.e_trace.Gb_vliw.Vinsn.stubs;
-  match Hashtbl.find_opt t.in_links e.e_pc with
+  match Gb_util.Pc_tbl.find_opt t.in_links e.e_pc with
   | None -> ()
   | Some l ->
     List.iter
@@ -173,37 +220,29 @@ let unlink t e =
         | Some target when target == e.e_trace -> break_stub t ~src_pc stub
         | Some _ | None -> ())
       !l;
-    Hashtbl.remove t.in_links e.e_pc
+    Gb_util.Pc_tbl.remove t.in_links e.e_pc
 
 (* every removal is a mutation a generation-tagged install must observe:
    record the generation at which this pc's translation died *)
 let remove t e =
   unlink t e;
-  Hashtbl.remove t.tbl e.e_pc;
+  Gb_util.Pc_tbl.remove t.tbl e.e_pc;
+  lru_unlink e;
   t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace;
   t.next_gen <- t.next_gen + 1;
-  Hashtbl.replace t.inval_gen e.e_pc t.next_gen
+  Gb_util.Pc_tbl.replace t.inval_gen e.e_pc t.next_gen
 
 let invalidate t pc =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl pc with
+      match Gb_util.Pc_tbl.find_opt t.tbl pc with
       | None -> ()
       | Some e ->
         remove t e;
         gauges t)
 
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with
-        | Some v when v.e_stamp <= e.e_stamp -> acc
-        | _ -> Some e)
-      t.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
+  let e = t.lru.e_lru.newer in
+  if e != t.lru then begin
     remove t e;
     t.stats.evictions <- t.stats.evictions + 1;
     if Gb_obs.Sink.is_active t.obs then begin
@@ -212,24 +251,28 @@ let evict_lru t =
         (Gb_obs.Event.Tier_transition { tier = "evicted" })
     end;
     t.on_evict ~pc:e.e_pc e.e_tier
+  end
 
 let insert_locked t ~pc ~tier ~mode trace =
   (* same-pc replacement (tier promotion, retranslation) is not an
      eviction: no stat, no hook *)
-  (match Hashtbl.find_opt t.tbl pc with
+  (match Gb_util.Pc_tbl.find_opt t.tbl pc with
   | Some old -> remove t old
   | None -> ());
   let cost = Gb_vliw.Vinsn.bundle_count trace in
-  while t.used + cost > t.cfg.capacity && Hashtbl.length t.tbl > 0 do
+  while t.used + cost > t.cfg.capacity && Gb_util.Pc_tbl.length t.tbl > 0 do
     evict_lru t
   done;
   t.next_gen <- t.next_gen + 1;
   let e =
     { e_pc = pc; e_trace = trace; e_tier = tier; e_mode = mode;
-      e_gen = t.next_gen; e_stamp = 0 }
+      e_gen = t.next_gen; e_stamp = 0;
+      e_lru = { older = t.lru; newer = t.lru } }
   in
-  touch t e;
-  Hashtbl.replace t.tbl pc e;
+  t.lru_clock <- t.lru_clock + 1;
+  e.e_stamp <- t.lru_clock;
+  lru_push t e;
+  Gb_util.Pc_tbl.replace t.tbl pc e;
   t.used <- t.used + cost;
   t.stats.inserts <- t.stats.inserts + 1;
   (* register the tier with the attribution ledger: it outlives eviction,
@@ -252,7 +295,7 @@ let generation t = with_lock t (fun () -> t.next_gen)
 let insert_tagged t ~gen ~pc ~tier ~mode trace =
   with_lock t (fun () ->
       let stale =
-        match Hashtbl.find_opt t.inval_gen pc with
+        match Gb_util.Pc_tbl.find_opt t.inval_gen pc with
         | Some g -> g > gen
         | None -> false
       in
@@ -283,7 +326,7 @@ let link t ~src ~stub ~dst =
            the live tables — so re-check both endpoints here, under the
            same lock every removal runs under. *)
         let live e =
-          match Hashtbl.find_opt t.tbl e.e_pc with
+          match Gb_util.Pc_tbl.find_opt t.tbl e.e_pc with
           | Some cur -> cur == e
           | None -> false
         in
@@ -297,11 +340,11 @@ let link t ~src ~stub ~dst =
           | _ ->
             s.Gb_vliw.Vinsn.chain <- Some dst.e_trace;
             let l =
-              match Hashtbl.find_opt t.in_links dst.e_pc with
+              match Gb_util.Pc_tbl.find_opt t.in_links dst.e_pc with
               | Some l -> l
               | None ->
                 let l = ref [] in
-                Hashtbl.replace t.in_links dst.e_pc l;
+                Gb_util.Pc_tbl.replace t.in_links dst.e_pc l;
                 l
             in
             l := (src.e_pc, s) :: !l;
@@ -315,11 +358,11 @@ let link t ~src ~stub ~dst =
             true)
 
 let entries t =
-  with_lock t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [])
+  with_lock t (fun () -> Gb_util.Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl [])
 
 let occupancy t tier =
   with_lock t (fun () ->
-      Hashtbl.fold
+      Gb_util.Pc_tbl.fold
         (fun _ e ((n, b) as acc) ->
           if e.e_tier = tier then
             (n + 1, b + Gb_vliw.Vinsn.bundle_count e.e_trace)
@@ -328,7 +371,7 @@ let occupancy t tier =
 
 let well_linked t =
   with_lock t (fun () ->
-      Hashtbl.fold
+      Gb_util.Pc_tbl.fold
         (fun _ e ok ->
           ok
           && Array.for_all
@@ -339,7 +382,7 @@ let well_linked t =
                    s.Gb_vliw.Vinsn.target_pc = target.Gb_vliw.Vinsn.entry_pc
                    &&
                    match
-                     Hashtbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc
+                     Gb_util.Pc_tbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc
                    with
                    | Some e' -> e'.e_trace == target
                    | None -> false))

@@ -6,7 +6,8 @@
     steady-state execution never returns to the dispatcher. This module
     models that: both tiers of translation (first-pass {!Block}s and
     optimized {!Trace}s) live in one table under a capacity budget
-    counted in VLIW bundles, evicted LRU, with a generation counter per
+    counted in VLIW bundles, evicted least recently used first (an O(1)
+    step, off an intrusive recency list), with a generation counter per
     installed entry.
 
     It is also the only component allowed to patch {!Gb_vliw.Vinsn.stub}
@@ -57,7 +58,12 @@ type entry = {
       (** generation counter, unique across the cache's lifetime; a
           re-translation of the same pc gets a fresh generation *)
   mutable e_stamp : int;  (** LRU stamp, maintained by {!find}/{!insert} *)
+  e_lru : lru;
 }
+
+and lru
+(** The entry's place in the cache's recency list, which keeps installed
+    entries in stamp order so an eviction finds its victim in O(1). *)
 
 type config = {
   capacity : int;

@@ -1,3 +1,5 @@
+module Pc_tbl = Gb_util.Pc_tbl
+
 type verify_level = Verify_off | Verify_report | Verify_enforce
 
 type config = {
@@ -93,23 +95,23 @@ type t = {
   cfg : config;
   mem : Gb_riscv.Mem.t;
   cc : Code_cache.t;  (** the single owner of all translated code *)
-  block_meta : (int, int option) Hashtbl.t;
+  block_meta : int option Pc_tbl.t;
       (** entry -> terminal branch pc of the first-level block *)
-  blacklist : (int, unit) Hashtbl.t;
-  fp_blacklist : (int, unit) Hashtbl.t;
-  region_runs : (int, int) Hashtbl.t;
-  region_rollbacks : (int, int) Hashtbl.t;
-  region_side_exits : (int, int) Hashtbl.t;
-  rebuilds : (int, int) Hashtbl.t;  (** bias-driven rebuilds per entry *)
-  trace_branches : (int, int list) Hashtbl.t;
+  blacklist : unit Pc_tbl.t;
+  fp_blacklist : unit Pc_tbl.t;
+  region_runs : int Pc_tbl.t;
+  region_rollbacks : int Pc_tbl.t;
+  region_side_exits : int Pc_tbl.t;
+  rebuilds : int Pc_tbl.t;  (** bias-driven rebuilds per entry *)
+  trace_branches : int list Pc_tbl.t;
       (** entry -> pcs of the conditional branches inside the trace *)
-  despeculated : (int, unit) Hashtbl.t;
-  hot : (int, int) Hashtbl.t;
-  branch_taken : (int, int) Hashtbl.t;  (** pc -> taken count *)
-  branch_total : (int, int) Hashtbl.t;
-      (** pc -> executions; two int tables rather than one
-          [(int * int) Hashtbl.t] — the per-exit profile update would
-          otherwise allocate a pair (and a [Some]) per recorded branch *)
+  despeculated : unit Pc_tbl.t;
+  hot : int Pc_tbl.t;
+  branch_taken : int Pc_tbl.t;  (** pc -> taken count *)
+  branch_total : int Pc_tbl.t;
+      (** pc -> executions; two int tables rather than one table of
+          pairs — the per-exit profile update would otherwise allocate a
+          pair per recorded branch *)
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
@@ -119,7 +121,7 @@ type t = {
       (** fault injection: entry pc -> fail this translation attempt *)
   pool : Workers.pool option;
       (** translation worker pool when [cfg.workers > 0] *)
-  prefetch : (int, prefetch) Hashtbl.t;
+  prefetch : prefetch Pc_tbl.t;
       (** entry -> speculative backend run in flight on the pool *)
   allocs : Gb_obs.Allocs.t;
       (** execution-allocation accumulator: translation entry points
@@ -132,18 +134,18 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
     cfg;
     mem;
     cc = Code_cache.create ~obs cfg.cache;
-    block_meta = Hashtbl.create 128;
-    blacklist = Hashtbl.create 16;
-    fp_blacklist = Hashtbl.create 16;
-    region_runs = Hashtbl.create 128;
-    region_rollbacks = Hashtbl.create 32;
-    region_side_exits = Hashtbl.create 64;
-    rebuilds = Hashtbl.create 16;
-    trace_branches = Hashtbl.create 64;
-    despeculated = Hashtbl.create 16;
-    hot = Hashtbl.create 256;
-    branch_taken = Hashtbl.create 256;
-    branch_total = Hashtbl.create 256;
+    block_meta = Pc_tbl.create 128;
+    blacklist = Pc_tbl.create 16;
+    fp_blacklist = Pc_tbl.create 16;
+    region_runs = Pc_tbl.create 128;
+    region_rollbacks = Pc_tbl.create 32;
+    region_side_exits = Pc_tbl.create 64;
+    rebuilds = Pc_tbl.create 16;
+    trace_branches = Pc_tbl.create 64;
+    despeculated = Pc_tbl.create 16;
+    hot = Pc_tbl.create 256;
+    branch_taken = Pc_tbl.create 256;
+    branch_total = Pc_tbl.create 256;
     stats =
       {
         retranslations = 0;
@@ -166,7 +168,7 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
     verify_log = [];
     translate_fault = None;
     pool = (if cfg.workers > 0 then Some (Workers.ensure cfg.workers) else None);
-    prefetch = Hashtbl.create 8;
+    prefetch = Pc_tbl.create 8;
     allocs = Gb_obs.Allocs.create ();
   }
   in
@@ -177,11 +179,11 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
      invalidation (retranslate / despec) does NOT come through here;
      those paths manage their own resets. *)
   Code_cache.set_on_evict t.cc (fun ~pc tier ->
-      Hashtbl.remove t.region_runs pc;
-      Hashtbl.remove t.region_rollbacks pc;
-      Hashtbl.remove t.region_side_exits pc;
+      Pc_tbl.remove t.region_runs pc;
+      Pc_tbl.remove t.region_rollbacks pc;
+      Pc_tbl.remove t.region_side_exits pc;
       match tier with
-      | Code_cache.Block -> Hashtbl.remove t.block_meta pc
+      | Code_cache.Block -> Pc_tbl.remove t.block_meta pc
       | Code_cache.Trace -> ());
   t
 
@@ -210,14 +212,17 @@ let lookup t pc =
   | None -> None
 
 (* Counter-table helpers for the per-exit accounting below. They run on
-   every chained trace exit, so they must not allocate: [Hashtbl.find]'s
-   [Not_found] is a constant (unlike [find_opt]'s per-hit [Some]), and
-   [Hashtbl.replace] over an existing int key mutates the bucket in
-   place — only a key's first appearance allocates its bucket. *)
-let count tbl key =
-  match Hashtbl.find tbl key with v -> v | exception Not_found -> 0
+   every chained trace exit, and [record_block_entry]'s hot counter on
+   every interpreted control transfer, so they must neither allocate nor
+   raise: a [Pc_tbl] lookup takes one multiplication to hash and returns
+   its default on a miss, and [incr] of an existing key updates it in
+   place — only a key's first appearance allocates. (A polymorphic
+   [Hashtbl.find] pays [caml_hash] on every probe, and its [Not_found]
+   is not free: raising and catching it doubles the cost of a miss,
+   83 ns against 40 ns for [find_opt]; see docs/INTERNALS.md §12.) *)
+let count tbl key = Pc_tbl.find_or tbl key ~default:0
 
-let bump tbl key = Hashtbl.replace tbl key (count tbl key + 1)
+let bump = Pc_tbl.incr
 
 let record_branch_outcome t pc taken =
   if taken then bump t.branch_taken pc;
@@ -231,19 +236,19 @@ let record_branch t ~pc ~taken = record_branch_outcome t pc taken
 let despec_min_rollbacks = 8
 
 let consider_despeculation t entry =
-  if t.cfg.adaptive_despec && not (Hashtbl.mem t.despeculated entry) then begin
+  if t.cfg.adaptive_despec && not (Pc_tbl.mem t.despeculated entry) then begin
     let rollbacks = count t.region_rollbacks entry in
     let runs = count t.region_runs entry in
     if rollbacks >= despec_min_rollbacks && rollbacks * 8 >= runs then begin
       (* drop the speculative translation; the entry counter is already
          past the hot threshold, so the next arrival re-translates it
          under the de-speculated configuration *)
-      Hashtbl.replace t.despeculated entry ();
+      Pc_tbl.replace t.despeculated entry ();
       Code_cache.invalidate t.cc entry;
-      Hashtbl.remove t.blacklist entry;
+      Pc_tbl.remove t.blacklist entry;
       (* any in-flight prefetch was planned with speculation on — drop it
          (the trigger-time plan comparison would reject it anyway) *)
-      Hashtbl.remove t.prefetch entry;
+      Pc_tbl.remove t.prefetch entry;
       t.stats.despeculations <- t.stats.despeculations + 1;
       Gb_obs.Sink.incr t.obs "translate.despeculations";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
@@ -283,17 +288,17 @@ let consider_retranslation t entry =
     then begin
       bump t.rebuilds entry;
       Code_cache.invalidate t.cc entry;
-      Hashtbl.remove t.blacklist entry;
-      Hashtbl.remove t.prefetch entry;
-      Hashtbl.replace t.region_side_exits entry 0;
-      Hashtbl.replace t.region_runs entry 0;
+      Pc_tbl.remove t.blacklist entry;
+      Pc_tbl.remove t.prefetch entry;
+      Pc_tbl.replace t.region_side_exits entry 0;
+      Pc_tbl.replace t.region_runs entry 0;
       (* forget the stale bias and re-learn it on the interpreter *)
       List.iter
         (fun pc ->
-          Hashtbl.remove t.branch_taken pc;
-          Hashtbl.remove t.branch_total pc)
-        (Option.value ~default:[] (Hashtbl.find_opt t.trace_branches entry));
-      Hashtbl.replace t.hot entry (t.cfg.hot_threshold - relearn_window);
+          Pc_tbl.remove t.branch_taken pc;
+          Pc_tbl.remove t.branch_total pc)
+        (Pc_tbl.find_or t.trace_branches entry ~default:[]);
+      Pc_tbl.replace t.hot entry (t.cfg.hot_threshold - relearn_window);
       t.stats.retranslations <- t.stats.retranslations + 1;
       Gb_obs.Sink.incr t.obs "translate.retranslations";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
@@ -311,13 +316,13 @@ let record_block_exit t ~entry info =
     bump t.region_side_exits entry;
     consider_retranslation t entry
   | Gb_vliw.Pipeline.Fallthrough -> ());
-  match Hashtbl.find t.block_meta entry with
+  match Pc_tbl.find_or t.block_meta entry ~default:None with
   | Some branch_pc -> (
     match info.Gb_vliw.Pipeline.kind with
     | Gb_vliw.Pipeline.Side_exit -> record_branch_outcome t branch_pc true
     | Gb_vliw.Pipeline.Fallthrough -> record_branch_outcome t branch_pc false
     | Gb_vliw.Pipeline.Rollback -> ())
-  | None | (exception Not_found) -> ()
+  | None -> ()
 
 (* Run the post-scheduling verifier over a translation about to be
    installed, record its findings (counters, events, the per-entry log)
@@ -373,7 +378,7 @@ let excluded t f =
 let translate_first_pass t entry =
   excluded t @@ fun () ->
   if Code_cache.peek t.cc entry <> None
-     || Hashtbl.mem t.fp_blacklist entry
+     || Pc_tbl.mem t.fp_blacklist entry
      || translate_faulted t entry
   then ()
   else
@@ -389,7 +394,7 @@ let translate_first_pass t entry =
       ignore branch_pc;
       t.stats.verify_rejections <- t.stats.verify_rejections + 1;
       Gb_obs.Sink.incr t.obs "verify.rejections";
-      Hashtbl.replace t.fp_blacklist entry ()
+      Pc_tbl.replace t.fp_blacklist entry ()
     | { First_pass.trace; branch_pc } ->
       if t.cfg.verify = Verify_report then ignore (note_verify t ~entry trace);
       ignore
@@ -398,18 +403,18 @@ let translate_first_pass t entry =
       (match Gb_obs.Sink.attrib t.obs with
       | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Block
       | None -> ());
-      Hashtbl.replace t.block_meta entry branch_pc;
+      Pc_tbl.replace t.block_meta entry branch_pc;
       t.stats.first_pass_translations <- t.stats.first_pass_translations + 1;
       Gb_obs.Sink.incr t.obs "translate.first_pass";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         (Gb_obs.Event.Tier_transition { tier = "block" })
     | exception First_pass.Untranslatable _ ->
-      Hashtbl.replace t.fp_blacklist entry ()
+      Pc_tbl.replace t.fp_blacklist entry ()
 
 let branch_profile t pc =
-  match Hashtbl.find t.branch_total pc with
-  | total -> Some (count t.branch_taken pc, total)
-  | exception Not_found -> None
+  match Pc_tbl.find_opt t.branch_total pc with
+  | Some total -> Some (count t.branch_taken pc, total)
+  | None -> None
 
 let graph_meta g (report : Gb_core.Mitigation.report) =
   let spec_loads = ref 0 in
@@ -486,7 +491,7 @@ let plan_of t entry ~quiet =
       | None -> Gb_core.Mitigation.opt_of_mode t.cfg.mode
     in
     let opt =
-      if Hashtbl.mem t.despeculated entry then
+      if Pc_tbl.mem t.despeculated entry then
         { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
       else opt
     in
@@ -665,7 +670,7 @@ let apply_audit_notes t notes =
       notes
 
 let translate_failed t entry =
-  Hashtbl.replace t.blacklist entry ();
+  Pc_tbl.replace t.blacklist entry ();
   t.stats.failures <- t.stats.failures + 1;
   Gb_obs.Sink.incr t.obs "translate.failures";
   Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
@@ -685,7 +690,7 @@ let commit t ~gen (p : plan) (br : backend_result) =
     (* de-speculated regions carry no speculative loads at all, so
        they are a safe chain target from any predecessor *)
     let mode =
-      if fenced || Hashtbl.mem t.despeculated entry then Code_cache.Nonspec
+      if fenced || Pc_tbl.mem t.despeculated entry then Code_cache.Nonspec
       else Code_cache.Mitigated t.cfg.mode
     in
     (match
@@ -703,8 +708,8 @@ let commit t ~gen (p : plan) (br : backend_result) =
     (match Gb_obs.Sink.attrib obs with
     | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Trace
     | None -> ());
-    Hashtbl.replace t.trace_branches entry p.p_branch_pcs;
-    Hashtbl.remove t.block_meta entry;
+    Pc_tbl.replace t.trace_branches entry p.p_branch_pcs;
+    Pc_tbl.remove t.block_meta entry;
     let s = t.stats in
     s.translations <- s.translations + 1;
     s.guest_insns_translated <- s.guest_insns_translated + len;
@@ -763,7 +768,7 @@ let submit_prefetch t pool entry =
     in
     (match Workers.try_submit pool job with
     | Some fut ->
-      Hashtbl.replace t.prefetch entry { pf_plan = p; pf_future = fut };
+      Pc_tbl.replace t.prefetch entry { pf_plan = p; pf_future = fut };
       Gb_obs.Sink.incr t.obs "workers.prefetch_submitted";
       Gb_obs.Sink.set_gauge t.obs "workers.queue_depth"
         (float_of_int (Workers.queue_depth pool))
@@ -777,10 +782,10 @@ let translate t entry =
   | Some e when e.Code_cache.e_tier = Code_cache.Trace ->
     Some e.Code_cache.e_trace
   | Some _ | None ->
-    if Hashtbl.mem t.blacklist entry || translate_faulted t entry then None
+    if Pc_tbl.mem t.blacklist entry || translate_faulted t entry then None
     else begin
-      let pf = Hashtbl.find_opt t.prefetch entry in
-      Hashtbl.remove t.prefetch entry;
+      let pf = Pc_tbl.find_opt t.prefetch entry in
+      Pc_tbl.remove t.prefetch entry;
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         Gb_obs.Event.Translate_start;
       match plan_of t entry ~quiet:false with
@@ -823,7 +828,7 @@ type region = {
 
 let regions t =
   let runs entry =
-    Option.value ~default:0 (Hashtbl.find_opt t.region_runs entry)
+    count t.region_runs entry
   in
   List.sort
     (fun a b -> compare (b.r_runs, a.r_entry) (a.r_runs, b.r_entry))
@@ -841,11 +846,11 @@ let regions t =
        (Code_cache.entries t.cc))
 
 let record_block_entry t pc =
-  let n = count t.hot pc + 1 in
-  Hashtbl.replace t.hot pc n;
+  Pc_tbl.incr t.hot pc;
+  let n = count t.hot pc in
   if n >= t.cfg.hot_threshold
      && (not (has_trace t pc))
-     && not (Hashtbl.mem t.blacklist pc)
+     && not (Pc_tbl.mem t.blacklist pc)
   then ignore (translate t pc)
   else begin
     (match t.pool with
@@ -853,8 +858,8 @@ let record_block_entry t pc =
       when n = max 1 (t.cfg.hot_threshold - prefetch_lookahead)
            && n < t.cfg.hot_threshold
            && (not (has_trace t pc))
-           && (not (Hashtbl.mem t.blacklist pc))
-           && not (Hashtbl.mem t.prefetch pc) ->
+           && (not (Pc_tbl.mem t.blacklist pc))
+           && not (Pc_tbl.mem t.prefetch pc) ->
       submit_prefetch t pool pc
     | Some _ | None -> ());
     if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then

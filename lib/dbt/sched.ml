@@ -19,133 +19,206 @@ let classify = function
 
 exception Cyclic
 
-(* All dependencies as adjacency lists: data edges reconstructed from node
-   sources, plus the explicit memory/control edges. *)
-let adjacency g ~lat =
+(* Every dependency edge in CSR form: the successors of [u] are
+   [succ.(j)] (edge latency [succ_lat.(j)]) for [j] in
+   [first.(u) .. first.(u + 1) - 1]; [indeg.(u)] counts its incoming
+   edges. (Array allocation is a C call, so the builder makes no more
+   arrays than it returns.) *)
+type csr = {
+  first : int array;
+  succ : int array;
+  succ_lat : int array;
+  indeg : int array;
+}
+
+let csr g =
   let n = Gb_ir.Dfg.n_nodes g in
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  let add_dep ~from ~to_ ~l =
-    succs.(from) <- (to_, l) :: succs.(from);
-    preds.(to_) <- (from, l) :: preds.(to_)
-  in
+  let edges = Gb_ir.Dfg.edges g in
+  let first = Array.make (n + 1) 0 in
+  let indeg = Array.make n 0 in
   List.iter
     (fun e ->
-      add_dep ~from:e.Gb_ir.Dfg.e_from ~to_:e.Gb_ir.Dfg.e_to ~l:e.Gb_ir.Dfg.e_lat)
-    (Gb_ir.Dfg.edges g);
-  ignore lat;
-  (succs, preds)
-
-let topo_order n succs preds =
-  let indeg = Array.map List.length preds in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
+      first.(e.Gb_ir.Dfg.e_from) <- first.(e.Gb_ir.Dfg.e_from) + 1;
+      indeg.(e.Gb_ir.Dfg.e_to) <- indeg.(e.Gb_ir.Dfg.e_to) + 1)
+    edges;
+  (* first.(u) := end of u's segment, then filled backwards to its start *)
+  for u = 1 to n do
+    first.(u) <- first.(u) + first.(u - 1)
   done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    incr seen;
-    List.iter
-      (fun (v, _) ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      succs.(u)
-  done;
-  if !seen <> n then raise Cyclic;
-  List.rev !order
+  let m = first.(n) in
+  let succ = Array.make m 0 in
+  let succ_lat = Array.make m 0 in
+  List.iter
+    (fun e ->
+      let j = first.(e.Gb_ir.Dfg.e_from) - 1 in
+      succ.(j) <- e.Gb_ir.Dfg.e_to;
+      succ_lat.(j) <- e.Gb_ir.Dfg.e_lat;
+      first.(e.Gb_ir.Dfg.e_from) <- j)
+    edges;
+  { first; succ; succ_lat; indeg }
 
+(* Kahn's algorithm: a topological order of all nodes, or [Cyclic].
+   Counts [a.indeg] down to zero. *)
+let topo_order n a =
+  let indeg = a.indeg in
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then begin
+      order.(!tail) <- u;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    for j = a.first.(u) to a.first.(u + 1) - 1 do
+      let v = a.succ.(j) in
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        order.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  if !tail <> n then raise Cyclic;
+  order
+
+let class_index = function
+  | Alu_class -> 0
+  | Mem_class -> 1
+  | Mul_class -> 2
+  | Branch_class -> 3
+
+let branch_index = 3
+
+let any_ready ready =
+  Int_heap.size ready.(0) > 0
+  || Int_heap.size ready.(1) > 0
+  || Int_heap.size ready.(2) > 0
+  || Int_heap.size ready.(3) > 0
+
+(* The list scheduler keeps the nodes whose predecessors are all placed
+   in two kinds of heap. [waiting] holds those whose operands are not
+   available yet, earliest cycle first; a node's earliest cycle is final
+   once its last predecessor is placed, so it leaves [waiting] once.
+   [ready.(k)] holds the issuable nodes of resource class [k], highest
+   critical-path priority first (ties: lower id).
+
+   A bundle is filled by taking, among the classes with a free slot, the
+   best head. That is the order in which one priority-ordered ready list
+   would be scanned, minus the nodes such a scan would pop and skip
+   because their class is full — they have no effect. A branch-class
+   node refused by the branch-last rule is set aside and goes back after
+   the bundle, and a successor freed by a latency-0 edge joins [ready]
+   at once, so it can still issue in the same bundle. Cycles with
+   nothing ready are jumped over. Every node is pushed and popped once
+   per heap it passes through (branches once more per bundle they are
+   refused in): O((n + e) log n), against the reference model's re-scan
+   of every pending node on every cycle. *)
 let schedule ?(obs = Gb_obs.Sink.noop) res ~lat g =
   let n = Gb_ir.Dfg.n_nodes g in
-  let succs, preds = adjacency g ~lat in
-  let order = topo_order n succs preds in
+  let a = csr g in
+  let order = topo_order n a in
+  let cls = Array.make n 0 in
+  for u = 0 to n - 1 do
+    cls.(u) <- class_index (classify (Gb_ir.Dfg.node g u).Gb_ir.Dfg.kind)
+  done;
   (* critical-path priority, computed in reverse topological order *)
   let prio = Array.make n 0 in
-  List.iter
-    (fun u ->
-      let own = Gb_ir.Build.latency_of lat (Gb_ir.Dfg.node g u).Gb_ir.Dfg.kind in
-      let best =
-        List.fold_left (fun acc (v, l) -> max acc (l + prio.(v))) 0 succs.(u)
-      in
-      prio.(u) <- own + best)
-    (List.rev order);
+  for i = n - 1 downto 0 do
+    let u = order.(i) in
+    let best = ref 0 in
+    for j = a.first.(u) to a.first.(u + 1) - 1 do
+      let d = a.succ_lat.(j) + prio.(a.succ.(j)) in
+      if d > !best then best := d
+    done;
+    prio.(u) <-
+      Gb_ir.Build.latency_of lat (Gb_ir.Dfg.node g u).Gb_ir.Dfg.kind + !best
+  done;
+  (* the heaps' order, (-priority, id) as one int, overwrites [prio] *)
+  let max_prio = Array.fold_left max 0 prio in
+  let rank = prio in
+  for u = 0 to n - 1 do
+    rank.(u) <- ((max_prio - prio.(u)) * n) + u
+  done;
   let cycle = Array.make n (-1) in
   let earliest = Array.make n 0 in
-  let remaining_preds = Array.map List.length preds in
-  (* ready pool sorted by priority (descending), then id *)
-  let module Pool = Set.Make (struct
-    type t = int * int (* (-priority, id) *)
-
-    let compare = compare
-  end) in
-  let pool = ref Pool.empty in
+  (* [topo_order] used up the in-degrees: count them again *)
+  let remaining_preds = a.indeg in
+  Array.iter (fun v -> remaining_preds.(v) <- remaining_preds.(v) + 1) a.succ;
+  let ready =
+    [| Int_heap.create n rank; Int_heap.create n rank; Int_heap.create n rank;
+       Int_heap.create n rank |]
+  in
+  let waiting = Int_heap.create n earliest in
+  let slots = [| res.width; res.mem_slots; res.mul_slots; res.branch_slots |] in
+  let free = [| 0; 0; 0; 0 |] in
+  let c = ref 0 in
   (* Side exits are block terminators: the trace scheduler only places a
      branch-class node once no other operation is waiting to issue, so
      hoistable work (in particular speculative loads from beyond the exit)
      actually moves above it. This is what makes the optimizer's
      "move loads before the conditional branch" decision effective. *)
   let pending_nonbranch = ref 0 in
-  let is_branch u = classify (Gb_ir.Dfg.node g u).Gb_ir.Dfg.kind = Branch_class in
-  let push u =
-    if not (is_branch u) then incr pending_nonbranch;
-    pool := Pool.add (-prio.(u), u) !pool
-  in
-  Array.iteri (fun u k -> if k = 0 then push u) remaining_preds;
+  for u = 0 to n - 1 do
+    if remaining_preds.(u) = 0 then begin
+      if cls.(u) <> branch_index then incr pending_nonbranch;
+      Int_heap.push ready.(cls.(u)) u
+    end
+  done;
   let scheduled = ref 0 in
-  let c = ref 0 in
   while !scheduled < n do
+    if not (any_ready ready) then begin
+      if Int_heap.size waiting = 0 then raise Cyclic;
+      c := max !c earliest.(Int_heap.top waiting)
+    end;
+    while Int_heap.size waiting > 0 && earliest.(Int_heap.top waiting) <= !c do
+      let u = Int_heap.pop waiting in
+      Int_heap.push ready.(cls.(u)) u
+    done;
     (* fill one bundle at cycle !c *)
+    for k = 0 to 3 do
+      free.(k) <- slots.(k)
+    done;
     let used = ref 0 in
-    let used_mem = ref 0 in
-    let used_mul = ref 0 in
-    let used_branch = ref 0 in
-    let fits node_cls =
-      !used < res.width
-      &&
-      match node_cls with
-      | Mem_class -> !used_mem < res.mem_slots
-      | Mul_class -> !used_mul < res.mul_slots
-      | Branch_class -> !used_branch < res.branch_slots
-      | Alu_class -> true
-    in
-    let take node_cls =
-      incr used;
-      match node_cls with
-      | Mem_class -> incr used_mem
-      | Mul_class -> incr used_mul
-      | Branch_class -> incr used_branch
-      | Alu_class -> ()
-    in
-    let push_key key = pool := Pool.add key !pool in
-    let rec fill skipped =
-      if !used >= res.width then List.iter push_key skipped
-      else
-        match Pool.min_elt_opt !pool with
-        | None -> List.iter push_key skipped
-        | Some ((_, u) as key) ->
-          pool := Pool.remove key !pool;
-          let k = classify (Gb_ir.Dfg.node g u).Gb_ir.Dfg.kind in
-          let branch_allowed =
-            k <> Branch_class || !pending_nonbranch = 0
-          in
-          if earliest.(u) <= !c && fits k && branch_allowed then begin
-            take k;
-            if k <> Branch_class then decr pending_nonbranch;
-            cycle.(u) <- !c;
-            incr scheduled;
-            List.iter
-              (fun (v, l) ->
-                earliest.(v) <- max earliest.(v) (!c + l);
-                remaining_preds.(v) <- remaining_preds.(v) - 1;
-                if remaining_preds.(v) = 0 then push v)
-              succs.(u);
-            fill skipped
-          end
-          else fill (key :: skipped)
-    in
-    fill [];
+    let refused = ref [] in
+    let filling = ref true in
+    while !filling && !used < res.width do
+      let best = ref (-1) in
+      for k = 0 to 3 do
+        let h = ready.(k) in
+        if free.(k) > 0 && Int_heap.size h > 0
+           && (!best < 0 || rank.(Int_heap.top h) < rank.(Int_heap.top ready.(!best)))
+        then best := k
+      done;
+      let k = !best in
+      if k < 0 then filling := false
+      else begin
+        let u = Int_heap.pop ready.(k) in
+        if k = branch_index && !pending_nonbranch > 0 then refused := u :: !refused
+        else begin
+          incr used;
+          free.(k) <- free.(k) - 1;
+          if k <> branch_index then decr pending_nonbranch;
+          cycle.(u) <- !c;
+          incr scheduled;
+          for j = a.first.(u) to a.first.(u + 1) - 1 do
+            let v = a.succ.(j) in
+            let at = !c + a.succ_lat.(j) in
+            if at > earliest.(v) then earliest.(v) <- at;
+            remaining_preds.(v) <- remaining_preds.(v) - 1;
+            if remaining_preds.(v) = 0 then begin
+              if cls.(v) <> branch_index then incr pending_nonbranch;
+              if earliest.(v) <= !c then Int_heap.push ready.(cls.(v)) v
+              else Int_heap.push waiting v
+            end
+          done
+        end
+      end
+    done;
+    List.iter (Int_heap.push ready.(branch_index)) !refused;
     incr c
   done;
   if Gb_obs.Sink.is_active obs then begin

@@ -24,7 +24,7 @@ let branch_direction cfg profile pc =
       else Unbiased
 
 let build cfg ~mem ~profile ~entry =
-  let visits = Hashtbl.create 64 in
+  let visits = Gb_util.Pc_tbl.create 64 in
   let steps = ref [] in
   let count = ref 0 in
   let push step =
@@ -34,10 +34,10 @@ let build cfg ~mem ~profile ~entry =
   let rec walk pc =
     if !count >= cfg.max_insns then pc
     else
-      let v = try Hashtbl.find visits pc with Not_found -> 0 in
+      let v = Gb_util.Pc_tbl.find_or visits pc ~default:0 in
       if v >= cfg.max_visits then pc
       else begin
-        Hashtbl.replace visits pc (v + 1);
+        Gb_util.Pc_tbl.replace visits pc (v + 1);
         match Gb_riscv.Decode.decode (Gb_riscv.Mem.load_insn_word mem ~addr:pc) with
         | exception Gb_riscv.Decode.Illegal _ -> pc
         | exception Gb_riscv.Mem.Fault _ -> pc

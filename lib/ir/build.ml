@@ -43,6 +43,31 @@ let oprr_of_opri = function
 
 let sext32 v = Int64.of_int32 (Int64.to_int32 v)
 
+(* The value-numbering key, hashed and compared without the polymorphic
+   primitives: those walk the tuple and hash the boxed [Int64] of every
+   immediate. The opcode is compared but not hashed. *)
+module Cse = Hashtbl.Make (struct
+  type t = Gb_riscv.Insn.oprr * Dfg.value * Dfg.value
+
+  let value_equal a b =
+    match (a, b) with
+    | Dfg.Reg_in x, Dfg.Reg_in y | Dfg.Node x, Dfg.Node y -> x = y
+    | Dfg.Imm x, Dfg.Imm y -> Int64.equal x y
+    | (Dfg.Reg_in _ | Dfg.Node _ | Dfg.Imm _), _ -> false
+
+  let equal ((op : Gb_riscv.Insn.oprr), a, b) (op', a', b') =
+    op = op' && value_equal a a' && value_equal b b'
+
+  let value_hash = function
+    | Dfg.Reg_in r -> (r lsl 2) lor 1
+    | Dfg.Node n -> (n lsl 2) lor 2
+    | Dfg.Imm v -> Int64.to_int v lsl 2
+
+  let hash (_, a, b) =
+    let h = (value_hash a * 0x9e3779b1) + value_hash b in
+    (h lxor (h lsr 17)) land max_int
+end)
+
 type state = {
   g : Dfg.t;
   lat : Latency.t;
@@ -53,7 +78,7 @@ type state = {
   mutable prev_mem : (int * bool) option;  (** (node, store-speculable?) *)
   mutable loads_since_mem : int list;
   mutable tags_used : int;
-  cse_table : (Gb_riscv.Insn.oprr * Dfg.value * Dfg.value, int) Hashtbl.t;
+  cse_table : int Cse.t;
       (** value numbering of pure operations (never invalidated: values
           are SSA and live-in registers are constant within a trace) *)
 }
@@ -141,7 +166,7 @@ let add_alu st ~op ~rd ~a ~b ~guest_pc =
       add_plain st ~kind:(Dfg.Kalu op) ~srcs:[| a; b |] ~dest ~pinned
         ~guest_pc ()
     in
-    if st.opt.Opt_config.cse then Hashtbl.replace st.cse_table (op, a, b) id;
+    if st.opt.Opt_config.cse then Cse.replace st.cse_table (op, a, b) id;
     Dfg.Node id
   in
   let value =
@@ -150,7 +175,7 @@ let add_alu st ~op ~rd ~a ~b ~guest_pc =
       match (a, b) with
       | Dfg.Imm va, Dfg.Imm vb -> Dfg.Imm (Gb_riscv.Interp.alu_rr op va vb)
       | (Dfg.Imm _ | Dfg.Reg_in _ | Dfg.Node _), _ -> (
-        match Hashtbl.find_opt st.cse_table (op, a, b) with
+        match Cse.find_opt st.cse_table (op, a, b) with
         | Some id -> Dfg.Node id
         | None -> fresh ())
   in
@@ -182,7 +207,9 @@ let add_load st ~w ~unsigned ~rd ~base ~off ~guest_pc =
     }
   in
   if speculate_store then st.tags_used <- st.tags_used + 1;
-  let pre_load_snapshot = snapshot st in
+  (* the registers as they were before the load: the commit map of the
+     MCB check, which only a store-speculated load gets *)
+  let pre_load_snapshot = if speculate_store then snapshot st else [] in
   let dest = if rd = 0 then None else Some rd in
   let id =
     add_plain st
@@ -300,7 +327,7 @@ let build ~opt ~lat (trace : Gtrace.t) =
       prev_mem = None;
       loads_since_mem = [];
       tags_used = 0;
-      cse_table = Hashtbl.create 64;
+      cse_table = Cse.create 64;
     }
   in
   List.iter (lower_step st) trace.Gtrace.steps;

@@ -19,7 +19,7 @@ type op =
   | Op_gauge of string * float
   | Op_observe of string * float
   | Op_event of int * int * Event.kind  (* pc, region, kind *)
-  | Op_span of string * float * float  (* phase, abs start (s), dur_us *)
+  | Op_span of string * int * float  (* phase, start (Timer.now_ns), dur_us *)
 
 type buffered = { mutable ops : op list (* newest first *) }
 
@@ -89,11 +89,11 @@ let time t phase f =
   match t with
   | Noop -> f ()
   | Buffer b ->
-    let start = Unix.gettimeofday () in
+    let start = Timer.now_ns () in
     Fun.protect
       ~finally:(fun () ->
-        let stop = Unix.gettimeofday () in
-        b.ops <- Op_span (phase, start, (stop -. start) *. 1e6) :: b.ops)
+        let dur_us = float_of_int (Timer.now_ns () - start) /. 1e3 in
+        b.ops <- Op_span (phase, start, dur_us) :: b.ops)
       f
   | Active a -> Timer.time a.timers phase f
 

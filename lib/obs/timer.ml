@@ -3,32 +3,15 @@ type span = { sp_phase : string; sp_start_us : float; sp_dur_us : float }
 type acc = { mutable calls : int; mutable total_us : float }
 
 type t = {
-  origin : float;  (** Unix.gettimeofday at creation *)
+  origin : int;  (** {!now_ns} at creation *)
   totals : (string, acc) Hashtbl.t;
   spans : span Ring.t;
 }
 
-let create ?(span_capacity = 8192) () =
-  {
-    origin = Unix.gettimeofday ();
-    totals = Hashtbl.create 16;
-    spans = Ring.create span_capacity;
-  }
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let time t phase f =
-  let start = Unix.gettimeofday () in
-  let record () =
-    let stop = Unix.gettimeofday () in
-    let dur_us = (stop -. start) *. 1e6 in
-    (match Hashtbl.find_opt t.totals phase with
-    | Some a ->
-      a.calls <- a.calls + 1;
-      a.total_us <- a.total_us +. dur_us
-    | None -> Hashtbl.add t.totals phase { calls = 1; total_us = dur_us });
-    Ring.push t.spans
-      { sp_phase = phase; sp_start_us = (start -. t.origin) *. 1e6; sp_dur_us = dur_us }
-  in
-  Fun.protect ~finally:record f
+let create ?(span_capacity = 8192) () =
+  { origin = now_ns (); totals = Hashtbl.create 16; spans = Ring.create span_capacity }
 
 let add t phase ~start ~dur_us =
   (match Hashtbl.find_opt t.totals phase with
@@ -37,7 +20,18 @@ let add t phase ~start ~dur_us =
     a.total_us <- a.total_us +. dur_us
   | None -> Hashtbl.add t.totals phase { calls = 1; total_us = dur_us });
   Ring.push t.spans
-    { sp_phase = phase; sp_start_us = (start -. t.origin) *. 1e6; sp_dur_us = dur_us }
+    {
+      sp_phase = phase;
+      sp_start_us = float_of_int (start - t.origin) /. 1e3;
+      sp_dur_us = dur_us;
+    }
+
+let time t phase f =
+  let start = now_ns () in
+  Fun.protect
+    ~finally:(fun () ->
+      add t phase ~start ~dur_us:(float_of_int (now_ns () - start) /. 1e3))
+    f
 
 type total = { t_phase : string; t_calls : int; t_total_us : float }
 

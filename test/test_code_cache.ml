@@ -211,6 +211,42 @@ let qcheck_well_linked =
         ops;
       true)
 
+(* The recency list must pick exactly the victim a scan for the least
+   stamp would: the E8 capacity cells and [code_cache.evictions] depend on
+   it. Inserts of mixed sizes evict zero, one or several entries; those
+   evicted must be the others' least-stamped, oldest first. *)
+let qcheck_lru_order =
+  QCheck.Test.make ~count:500 ~name:"eviction takes the least-stamped entries"
+    (QCheck.make
+       ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+       QCheck.Gen.(
+         list_size (int_range 1 80)
+           (pair (int_bound (Array.length pcs - 1)) (int_range 0 6))))
+    (fun ops ->
+      let cc = cache ~capacity:12 () in
+      let evicted = ref [] in
+      Code_cache.set_on_evict cc (fun ~pc _ -> evicted := pc :: !evicted);
+      List.iter
+        (fun (i, size) ->
+          if size = 0 then ignore (Code_cache.find cc pcs.(i))
+          else begin
+            let others =
+              List.filter
+                (fun e -> e.Code_cache.e_pc <> pcs.(i))
+                (Code_cache.entries cc)
+              |> List.sort (fun a b ->
+                     compare a.Code_cache.e_stamp b.Code_cache.e_stamp)
+              |> List.map (fun e -> e.Code_cache.e_pc)
+            in
+            evicted := [];
+            ignore (insert cc ~bundles:size ~pc:pcs.(i) []);
+            let got = List.rev !evicted in
+            if List.filteri (fun k _ -> k < List.length got) others <> got then
+              QCheck.Test.fail_report "evicted an entry that was not the least recent"
+          end)
+        ops;
+      true)
+
 (* --- end to end --- *)
 
 let tiny = 48 (* bundles: a handful of small traces, constant churn *)
@@ -319,6 +355,7 @@ let () =
           Alcotest.test_case "budget respected, LRU evicts" `Quick
             capacity_respected;
           Alcotest.test_case "LRU picks the stalest entry" `Quick lru_victim;
+          QCheck_alcotest.to_alcotest qcheck_lru_order;
           Alcotest.test_case "replacement is not an eviction" `Quick
             replacement_is_not_eviction;
           Alcotest.test_case "on_evict: capacity only, with tier" `Quick

@@ -611,6 +611,87 @@ let engine_caches_and_blacklists () =
     (Gb_dbt.Engine.stats engine).Gb_dbt.Engine.failures;
   ignore skip_branch
 
+(* --- reference equivalence ---------------------------------------------- *)
+
+(* [Sched.schedule] and [Codegen.emit]'s register allocator were rewritten
+   for speed; test/ref_sched.ml and test/ref_codegen.ml keep the original
+   algorithms verbatim. The rewrite must reproduce every issue cycle and
+   every emitted bundle, hidden-register numbers included: a 96-register
+   file, and a 12-register one that forces reuse and, on larger traces,
+   [Out_of_registers] on both sides. *)
+let matches_reference mode gtrace =
+  let g = Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat gtrace in
+  ignore (Gb_core.Mitigation.apply mode ~lat g);
+  let cycles = Gb_dbt.Sched.schedule res ~lat g in
+  let ref_cycles = Ref_sched.schedule res ~lat g in
+  let emit_with emit n_hidden =
+    match
+      emit res ~n_hidden ~cycles:ref_cycles ~entry_pc:gtrace.Gb_ir.Gtrace.entry
+        ~guest_insns:(Gb_ir.Gtrace.length gtrace) ~meta:Gb_vliw.Vinsn.empty_meta g
+    with
+    | t -> Some t
+    | exception Gb_dbt.Codegen.Out_of_registers -> None
+  in
+  cycles = ref_cycles
+  && List.for_all
+       (fun n_hidden ->
+         emit_with Gb_dbt.Codegen.emit n_hidden = emit_with Ref_codegen.emit n_hidden)
+       [ 96; 12 ]
+
+let reference_equivalence_prop =
+  QCheck.Test.make ~count:400
+    ~name:"schedule and codegen = reference models, all five modes"
+    (QCheck.make arb_gtrace)
+    (fun gtrace ->
+      List.for_all (fun mode -> matches_reference mode gtrace)
+        Gb_core.Mitigation.all_modes)
+
+(* Every region the workloads install as a trace, in every mode, rebuilt
+   through the public translation phases from the run's final branch
+   profile. *)
+let reference_equivalence_workloads () =
+  let programs =
+    List.map
+      (fun w -> (w.Gb_workloads.Polybench.name, w.Gb_workloads.Polybench.program))
+      (Gb_workloads.Polybench.matmul_ptr :: Gb_workloads.Polybench.all)
+    @ [
+        ("spectre-v1", Gb_attack.Spectre_v1.program ~secret:"ABC" ());
+        ("spectre-v4", Gb_attack.Spectre_v4.program ~secret:"ABC" ());
+      ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, program) ->
+      let asm = Gb_kernelc.Compile.assemble program in
+      List.iter
+        (fun mode ->
+          let proc =
+            Gb_system.Processor.create
+              ~config:(Gb_system.Processor.config_for mode) asm
+          in
+          ignore (Gb_system.Processor.run proc);
+          let engine = Gb_system.Processor.engine proc in
+          List.iter
+            (fun r ->
+              if r.Gb_dbt.Engine.r_tier = `Trace then
+                match
+                  Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config
+                    ~mem:(Gb_system.Processor.mem proc)
+                    ~profile:(Gb_dbt.Engine.branch_profile engine)
+                    ~entry:r.Gb_dbt.Engine.r_entry
+                with
+                | exception Gb_dbt.Trace_builder.Build_failure _ -> ()
+                | gtrace ->
+                  incr checked;
+                  if not (matches_reference mode gtrace) then
+                    Alcotest.failf "%s/%s: trace at 0x%x differs from the reference"
+                      name (Gb_core.Mitigation.mode_name mode)
+                      r.Gb_dbt.Engine.r_entry)
+            (Gb_dbt.Engine.regions engine))
+        Gb_core.Mitigation.all_modes)
+    programs;
+  Alcotest.(check bool) "traces checked" true (!checked > 500)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -631,6 +712,12 @@ let () =
           qt exit_scheduled_last_prop;
         ] );
       ("oracle", [ qt trace_oracle_prop ]);
+      ( "reference",
+        [
+          qt reference_equivalence_prop;
+          Alcotest.test_case "installed workload traces" `Quick
+            reference_equivalence_workloads;
+        ] );
       ( "codegen",
         [
           qt codegen_invariants_prop;

@@ -128,6 +128,40 @@ let sink_records () =
     Alcotest.(check int) "calls" 1 t.Timer.t_calls
   | ts -> Alcotest.failf "expected 1 phase, got %d" (List.length ts)
 
+(* Spans are timed on the monotonic clock: however the wall clock steps
+   while a phase runs, no recorded span may come out negative, whether
+   timed directly, nested, or buffered on a worker and replayed. *)
+let spans_non_negative () =
+  let t = Timer.create ~span_capacity:64 () in
+  let spin () =
+    let x = ref 0 in
+    for i = 1 to 1000 do
+      x := !x + i
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  for _ = 1 to 20 do
+    Timer.time t "outer" (fun () -> Timer.time t "inner" spin)
+  done;
+  let spans = Timer.spans t in
+  Alcotest.(check int) "all retained" 40 (List.length spans);
+  List.iter
+    (fun sp ->
+      if sp.Timer.sp_dur_us < 0. || sp.Timer.sp_start_us < 0. then
+        Alcotest.failf "negative span %s: start %f dur %f" sp.Timer.sp_phase
+          sp.Timer.sp_start_us sp.Timer.sp_dur_us)
+    spans;
+  let buffered = Sink.buffer () in
+  ignore (Sink.time buffered "verify" spin);
+  let s = Sink.create () in
+  Sink.replay buffered ~into:s;
+  List.iter
+    (fun tot ->
+      if tot.Timer.t_total_us < 0. then
+        Alcotest.failf "negative total for %s" tot.Timer.t_phase)
+    (Sink.timer_totals s);
+  Alcotest.(check int) "replayed phase" 1 (List.length (Sink.timer_totals s))
+
 let trace_json_shape () =
   let s = Sink.create () in
   let cycle = ref 5L in
@@ -217,6 +251,7 @@ let () =
         [
           Alcotest.test_case "noop" `Quick sink_noop;
           Alcotest.test_case "records" `Quick sink_records;
+          Alcotest.test_case "spans are non-negative" `Quick spans_non_negative;
         ] );
       ( "trace export",
         [

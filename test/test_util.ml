@@ -223,11 +223,65 @@ let json_parse_roundtrip_prop =
     (QCheck.make value)
     (fun v -> J.of_string (J.to_string v) = Ok v)
 
+(* Pc_tbl against Stdlib's Hashtbl as the model: random replace, remove,
+   incr and lookups over pc-like keys (multiples of 4, plus a few
+   negative and large ones), through several resizes. *)
+let pc_tbl_matches_hashtbl =
+  QCheck.Test.make ~count:300 ~name:"Pc_tbl = Hashtbl"
+    QCheck.(
+      list_of_size Gen.(int_range 1 400)
+        (pair (int_bound 3) (oneof [ map (fun k -> 4 * k) (int_bound 300); int ])))
+    (fun ops ->
+      let t = Gb_util.Pc_tbl.create 1 in
+      let m = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+          | 0 ->
+            Gb_util.Pc_tbl.replace t k (k + 1);
+            Hashtbl.replace m k (k + 1)
+          | 1 ->
+            Gb_util.Pc_tbl.remove t k;
+            Hashtbl.remove m k
+          | _ ->
+            Gb_util.Pc_tbl.incr t k;
+            Hashtbl.replace m k (1 + Option.value ~default:0 (Hashtbl.find_opt m k)));
+          Gb_util.Pc_tbl.length t = Hashtbl.length m
+          && Gb_util.Pc_tbl.find_opt t k = Hashtbl.find_opt m k
+          && Gb_util.Pc_tbl.mem t k = Hashtbl.mem m k
+          && Gb_util.Pc_tbl.find_or t (k + 4) ~default:(-1)
+             = Option.value ~default:(-1) (Hashtbl.find_opt m (k + 4)))
+        ops
+      && List.sort compare (Gb_util.Pc_tbl.fold (fun k v acc -> (k, v) :: acc) t [])
+         = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []))
+
+(* a miss neither raises nor allocates *)
+let pc_tbl_miss_is_free () =
+  let t = Gb_util.Pc_tbl.create 64 in
+  for k = 0 to 99 do
+    Gb_util.Pc_tbl.replace t (4 * k) k
+  done;
+  let before = Gc.minor_words () in
+  let hits = ref 0 in
+  for k = 100 to 10_099 do
+    hits := !hits + Gb_util.Pc_tbl.find_or t (4 * k) ~default:0;
+    if Gb_util.Pc_tbl.mem t (4 * k) then incr hits;
+    match Gb_util.Pc_tbl.find_opt t (4 * k) with Some _ -> incr hits | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all missed" 0 !hits;
+  Alcotest.(check bool) (Printf.sprintf "allocated %.0f words" words) true (words < 100.)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
   Alcotest.run "util"
     [
+      ( "pc_tbl",
+        [
+          qt pc_tbl_matches_hashtbl;
+          Alcotest.test_case "miss is free" `Quick pc_tbl_miss_is_free;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
